@@ -10,10 +10,15 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint is vet plus staticcheck when the binary is available; the container
-# image does not ship it and nothing may be installed, so its absence is a
-# skip, not a failure.
+# lint is vet, a gofmt gate (any file gofmt would rewrite fails the target),
+# plus staticcheck when the binary is available; the container image does not
+# ship it and nothing may be installed, so its absence is a skip, not a
+# failure.
 lint: vet
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -88,7 +89,7 @@ func TestTxRefOptIgnoredWhereInvalid(t *testing.T) {
 // serialization.
 func TestSerializationProfiler(t *testing.T) {
 	c := New(Config{Branch: ITCallable, HashPower: 8, MemLimit: 1 << 20, Automove: true})
-	c.Runtime().EnableProfiling()
+	c.Runtime().EnableTracing()
 	c.Start()
 	defer c.Stop()
 	w := c.NewWorker()
@@ -100,11 +101,11 @@ func TestSerializationProfiler(t *testing.T) {
 			w.Get(key)
 		}
 	}
-	p := c.Runtime().Profile()
-	if p == nil {
-		t.Fatal("profile nil after EnableProfiling")
+	o := c.Runtime().TracingObserver()
+	if o == nil {
+		t.Fatal("observer nil after EnableTracing")
 	}
-	causes := p.Causes()
+	causes := o.SerialCauses()
 	if len(causes) == 0 {
 		t.Fatal("no causes attributed")
 	}
@@ -118,8 +119,8 @@ func TestSerializationProfiler(t *testing.T) {
 	if bySite["start serial @ do_store_item"] == 0 {
 		t.Errorf("missing do_store_item attribution; causes = %v", causes)
 	}
-	if got := p.String(); len(got) == 0 {
-		t.Error("empty report")
+	if got := o.Report(0).String(); !strings.Contains(got, "serialization causes:") {
+		t.Errorf("report lacks serialization causes:\n%s", got)
 	}
 	// Most frequent first.
 	for i := 1; i < len(causes); i++ {

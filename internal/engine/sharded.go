@@ -580,7 +580,7 @@ func (w *Worker) Controller() *tmctl.Controller { return w.c.Controller() }
 // thread this worker owns: while set, each STM event of the worker's
 // transactions — whatever shard the command routes to — is delivered to the
 // sink. Lock branches have no TM contexts and the call is a no-op there.
-func (w *Worker) SetTxTrace(sink stm.TraceSink) {
+func (w *Worker) SetTxTrace(sink stm.Consumer) {
 	for _, sw := range w.ws {
 		if sw.tctx != nil {
 			tm.SetTrace(sw.tctx, sink)

@@ -17,6 +17,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/loghist"
 )
 
 // Op classifies one engine operation for the mix counters.
@@ -55,7 +57,7 @@ type Recorder struct {
 	ops    [numOps]atomic.Uint64
 	hits   atomic.Uint64
 	misses atomic.Uint64
-	vsize  LogHist
+	vsize  loghist.Histogram
 	sketch Sketch
 }
 
@@ -82,7 +84,7 @@ func (r *Recorder) decay() {
 	}
 	r.hits.Store(r.hits.Load() / 2)
 	r.misses.Store(r.misses.Load() / 2)
-	r.vsize.decay()
+	r.vsize.Decay()
 	r.sketch.decay()
 }
 
@@ -158,27 +160,27 @@ type AbortsSnapshot struct {
 
 // ShardSnapshot is one shard's merged fingerprint.
 type ShardSnapshot struct {
-	Ops           uint64         `json:"ops"`
-	Reads         uint64         `json:"reads"`
-	Writes        uint64         `json:"writes"`
-	Deletes       uint64         `json:"deletes"`
-	Deltas        uint64         `json:"deltas"`
-	Touches       uint64         `json:"touches"`
-	Hits          uint64         `json:"hits"`
-	Misses        uint64         `json:"misses"`
-	Concentration float64        `json:"concentration"`
-	HotKeys       []HotKey       `json:"hot_keys"`
-	VSize         HistSnapshot   `json:"vsize"`
-	Aborts        AbortsSnapshot `json:"aborts"`
+	Ops           uint64           `json:"ops"`
+	Reads         uint64           `json:"reads"`
+	Writes        uint64           `json:"writes"`
+	Deletes       uint64           `json:"deletes"`
+	Deltas        uint64           `json:"deltas"`
+	Touches       uint64           `json:"touches"`
+	Hits          uint64           `json:"hits"`
+	Misses        uint64           `json:"misses"`
+	Concentration float64          `json:"concentration"`
+	HotKeys       []HotKey         `json:"hot_keys"`
+	VSize         loghist.Snapshot `json:"vsize"`
+	Aborts        AbortsSnapshot   `json:"aborts"`
 }
 
 // Snapshot is the whole observer, JSON-shaped for /debug/fingerprint.
 type Snapshot struct {
-	Shards        []ShardSnapshot `json:"shards"`
-	TxnQueue      HistSnapshot    `json:"txn_queue_ns"`
-	TxnValidate   HistSnapshot    `json:"txn_validate_ns"`
-	TxnApply      HistSnapshot    `json:"txn_apply_ns"`
-	TxnSerialWait HistSnapshot    `json:"txn_serial_wait_ns"`
+	Shards        []ShardSnapshot  `json:"shards"`
+	TxnQueue      loghist.Snapshot `json:"txn_queue_ns"`
+	TxnValidate   loghist.Snapshot `json:"txn_validate_ns"`
+	TxnApply      loghist.Snapshot `json:"txn_apply_ns"`
+	TxnSerialWait loghist.Snapshot `json:"txn_serial_wait_ns"`
 }
 
 // Observer owns the per-shard fingerprints plus the wire-transaction phase
@@ -187,10 +189,10 @@ type Observer struct {
 	shards []*Shard
 	ticks  atomic.Uint64
 
-	TxnQueue      LogHist
-	TxnValidate   LogHist
-	TxnApply      LogHist
-	TxnSerialWait LogHist
+	TxnQueue      loghist.Histogram
+	TxnValidate   loghist.Histogram
+	TxnApply      loghist.Histogram
+	TxnSerialWait loghist.Histogram
 }
 
 // New builds an observer for n shards.
@@ -223,9 +225,6 @@ func (o *Observer) Tick() {
 func (s *Shard) snapshot() ShardSnapshot {
 	var snap ShardSnapshot
 	byHash := make(map[uint64]HotKey)
-	var vsize HistSnapshot
-	var vsum, vcount, vmax uint64
-	var counts [histBuckets]uint64
 	for _, r := range s.recorders() {
 		snap.Reads += r.ops[OpRead].Load()
 		snap.Writes += r.ops[OpWrite].Load()
@@ -249,20 +248,9 @@ func (s *Shard) snapshot() ShardSnapshot {
 			prev := byHash[hv]
 			byHash[hv] = HotKey{Key: *kp, Count: prev.Count + c, Err: prev.Err + e.errs.Load()}
 		}
-		for i := range counts {
-			counts[i] += r.vsize.buckets[i].Load()
-		}
-		vsum += r.vsize.sum.Load()
-		if m := r.vsize.max.Load(); m > vmax {
-			vmax = m
-		}
+		snap.VSize.Merge(r.vsize.Snapshot())
 	}
 	snap.Ops = snap.Reads + snap.Writes + snap.Deletes + snap.Deltas + snap.Touches
-	for _, c := range counts {
-		vcount += c
-	}
-	vsize = summarize(counts, vcount, vsum, vmax)
-	snap.VSize = vsize
 	hot := make([]HotKey, 0, len(byHash))
 	for _, hk := range byHash {
 		hot = append(hot, hk)
@@ -295,40 +283,6 @@ func (s *Shard) snapshot() ShardSnapshot {
 		Watchdog:       s.aborts[AbortWatchdog].Load(),
 	}
 	return snap
-}
-
-// summarize builds a HistSnapshot from pre-merged bucket counts.
-func summarize(counts [histBuckets]uint64, total, sum, max uint64) HistSnapshot {
-	s := HistSnapshot{Count: total, Max: max}
-	if total == 0 {
-		return s
-	}
-	s.Mean = sum / total
-	quantile := func(q float64) uint64 {
-		want := uint64(q * float64(total))
-		if want >= total {
-			want = total - 1
-		}
-		var cum uint64
-		for i, c := range counts {
-			cum += c
-			if cum > want {
-				if i == 0 {
-					return 0
-				}
-				ub := (uint64(1) << uint(i)) - 1
-				if ub > max && max != 0 {
-					ub = max
-				}
-				return ub
-			}
-		}
-		return max
-	}
-	s.P50 = quantile(0.50)
-	s.P95 = quantile(0.95)
-	s.P99 = quantile(0.99)
-	return s
 }
 
 // Snapshot merges every shard and the transaction-phase histograms.

@@ -130,28 +130,6 @@ func TestResetClearsEverything(t *testing.T) {
 	}
 }
 
-// TestHistQuantiles: bucket upper-bound quantiles must bracket the data.
-func TestHistQuantiles(t *testing.T) {
-	var h LogHist
-	for i := 0; i < 99; i++ {
-		h.Record(100) // bucket 7, ub 127
-	}
-	h.Record(100000) // bucket 17
-	s := h.Snapshot()
-	if s.Count != 100 || s.Max != 100000 {
-		t.Fatalf("count=%d max=%d", s.Count, s.Max)
-	}
-	if s.P50 < 100 || s.P50 > 127 {
-		t.Fatalf("p50 %d outside [100,127]", s.P50)
-	}
-	if s.P99 < 100 {
-		t.Fatalf("p99 %d", s.P99)
-	}
-	if s.Max != 100000 {
-		t.Fatalf("max %d", s.Max)
-	}
-}
-
 // TestFingerprintConcurrentRace: many writers (one per recorder, honoring
 // the single-writer contract), plus concurrent snapshots, decay ticks and
 // resets. Run under -race by make fingerprint-race.

@@ -42,6 +42,13 @@ type ConnErrors struct {
 	WritevBatches  atomic.Uint64
 }
 
+// Reset zeroes every counter (`stats reset`).
+func (e *ConnErrors) Reset() {
+	for _, c := range []*atomic.Uint64{&e.IO, &e.Protocol, &e.Timeout, &e.Flushes, &e.BatchedReplies, &e.WritevBatches} {
+		c.Store(0)
+	}
+}
+
 // Global is the stats-lock domain (stats.c globals that never moved to
 // per-thread storage).
 type Global struct {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/mcstats"
 )
 
 // runTextOn feeds a script through an existing cache (so tests can enable
@@ -61,6 +63,52 @@ func TestStatsResetContract(t *testing.T) {
 	}
 	if v := statValue(out, "bytes"); v == "0" || v == "" {
 		t.Errorf("bytes = %q after reset, want preserved", v)
+	}
+}
+
+// TestStatsResetClearsConnCounters extends the reset contract to the
+// server's connection counters: `stats reset` zeroes the conn_errors_* and
+// reply-batching counters, while the conn_buffers_* gauges are still
+// reported.
+func TestStatsResetClearsConnCounters(t *testing.T) {
+	c := engine.New(engine.Config{Branch: engine.ITOnCommit, HashPower: 8})
+	c.Start()
+	defer c.Stop()
+
+	var ce mcstats.ConnErrors
+	for _, n := range []*atomic.Uint64{&ce.IO, &ce.Protocol, &ce.Timeout, &ce.Flushes, &ce.BatchedReplies, &ce.WritevBatches} {
+		n.Store(7)
+	}
+	d := &duplex{in: bytes.NewBufferString("stats reset\r\n"), out: &bytes.Buffer{}}
+	conn := NewConn(c.NewWorker(), d)
+	conn.SetConnErrors(&ce)
+	if err := conn.Serve(); err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	for name, n := range map[string]uint64{
+		"conn_errors_io": ce.IO.Load(), "conn_errors_protocol": ce.Protocol.Load(),
+		"conn_errors_timeout": ce.Timeout.Load(), "conn_writev_batches": ce.WritevBatches.Load(),
+	} {
+		if n != 0 {
+			t.Errorf("%s = %d after stats reset, want 0", name, n)
+		}
+	}
+	// The RESET reply itself is flushed after the reset, so the batching
+	// counters may count that one write, never the 7 from before.
+	if f, b := ce.Flushes.Load(), ce.BatchedReplies.Load(); f > 1 || b > 1 {
+		t.Errorf("conn_flushes = %d, conn_batched_replies = %d after stats reset, want <= 1", f, b)
+	}
+
+	d = &duplex{in: bytes.NewBufferString("stats\r\n"), out: &bytes.Buffer{}}
+	conn = NewConn(c.NewWorker(), d)
+	conn.SetConnErrors(&ce)
+	if err := conn.Serve(); err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	out := d.out.String()
+	if statValue(out, "conn_errors_io") != "0" || statValue(out, "conn_buffers_inuse") == "" ||
+		statValue(out, "conn_buffers_idle") == "" {
+		t.Fatalf("stats after reset:\n%s", out)
 	}
 }
 

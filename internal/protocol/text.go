@@ -343,12 +343,16 @@ func (c *Conn) dispatchText(cmd string, args [][]byte) error {
 			case "reset":
 				// ResetStats clears engine counters AND the fingerprint
 				// observer exactly once (cache-global); the transport's
-				// counters are reset here because the engine cannot see
-				// them. Both are idempotent Store(0)s, so racing resets
-				// from two connections stay coherent.
+				// counters and the server's conn_* counters are reset here
+				// because the engine cannot see them. All are idempotent
+				// Store(0)s, so racing resets from two connections stay
+				// coherent. Gauges (conn_buffers_*) are left alone.
 				c.worker.ResetStats()
 				if c.tstats != nil {
 					c.tstats.ResetTransportCounters()
+				}
+				if c.connErrs != nil {
+					c.connErrs.Reset()
 				}
 				return c.reply("RESET\r\n")
 			case "slabs":
@@ -786,15 +790,12 @@ func (c *Conn) cmdStatsLatency() error {
 		return err
 	}
 	fmt.Fprintf(c.w, "STAT tracing %d\r\n", boolInt(r.Enabled))
-	hist := func(prefix string, m map[string]txobs.HistSnapshot) {
-		for _, k := range sortedKeys(m) {
-			s := m[k]
-			fmt.Fprintf(c.w, "STAT %s_%s count=%d mean_ns=%d p50_ns=%d p95_ns=%d p99_ns=%d max_ns=%d\r\n",
-				prefix, k, s.Count, s.Mean, s.P50, s.P95, s.P99, s.Max)
-		}
+	for _, k := range sortedKeys(r.Phases) {
+		c.histLine("phase_"+k, "_ns", r.Phases[k])
 	}
-	hist("phase", r.Phases)
-	hist("cmd", r.Commands)
+	for _, k := range sortedKeys(r.Commands) {
+		c.histLine("cmd_"+k, "_ns", r.Commands[k])
+	}
 	return c.reply("END\r\n")
 }
 

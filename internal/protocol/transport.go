@@ -3,7 +3,7 @@ package protocol
 import (
 	"fmt"
 
-	"repro/internal/fingerprint"
+	"repro/internal/loghist"
 	"repro/internal/poller"
 )
 
@@ -31,8 +31,8 @@ type EventLoopSnapshot struct {
 
 	// Dispatch is the queued→running latency in nanoseconds; BurstOps is the
 	// commands-served-per-burst distribution (its unit is ops, not ns).
-	Dispatch fingerprint.HistSnapshot `json:"dispatch_ns"`
-	BurstOps fingerprint.HistSnapshot `json:"burst_ops"`
+	Dispatch loghist.Snapshot `json:"dispatch_ns"`
+	BurstOps loghist.Snapshot `json:"burst_ops"`
 
 	// WorkerBusy is each pool worker's busy fraction (time inside bursts /
 	// wall time) since start or the last reset.
@@ -59,9 +59,11 @@ type TransportStats interface {
 // surface (nil for transports without one).
 func (c *Conn) SetTransport(ts TransportStats) { c.tstats = ts }
 
-// fpHist renders one histogram snapshot as a single STAT line. unit suffixes
-// the quantile field names ("_ns" for durations, "" for dimensionless).
-func (c *Conn) fpHist(name, unit string, s fingerprint.HistSnapshot) {
+// histLine renders one histogram snapshot as a single STAT line — the one
+// renderer behind `stats latency`, `stats eventloop` and `stats
+// fingerprint`. unit suffixes the quantile field names ("_ns" for durations,
+// "" for dimensionless).
+func (c *Conn) histLine(name, unit string, s loghist.Snapshot) {
 	fmt.Fprintf(c.w, "STAT %s count=%d mean%s=%d p50%s=%d p95%s=%d p99%s=%d max%s=%d\r\n",
 		name, s.Count, unit, s.Mean, unit, s.P50, unit, s.P95, unit, s.P99, unit, s.Max)
 }
@@ -87,8 +89,8 @@ func (c *Conn) cmdStatsEventLoop() error {
 	for i, b := range s.WorkerBusy {
 		fmt.Fprintf(c.w, "STAT worker_%d_busy %.3f\r\n", i, b)
 	}
-	c.fpHist("dispatch_ns", "_ns", s.Dispatch)
-	c.fpHist("burst_ops", "", s.BurstOps)
+	c.histLine("dispatch_ns", "_ns", s.Dispatch)
+	c.histLine("burst_ops", "", s.BurstOps)
 	if s.HasPoller {
 		fmt.Fprintf(c.w, "STAT poller_wakeups %d\r\n", s.Poller.Wakeups)
 		fmt.Fprintf(c.w, "STAT poller_probes %d\r\n", s.Poller.Probes)
@@ -110,10 +112,10 @@ func (c *Conn) cmdStatsFingerprint() error {
 	snap := o.Snapshot()
 	fmt.Fprintf(c.w, "STAT fingerprint %d\r\n", boolInt(c.worker.FingerprintEnabled()))
 	fmt.Fprintf(c.w, "STAT shards %d\r\n", len(snap.Shards))
-	c.fpHist("txn_queue", "_ns", snap.TxnQueue)
-	c.fpHist("txn_validate", "_ns", snap.TxnValidate)
-	c.fpHist("txn_apply", "_ns", snap.TxnApply)
-	c.fpHist("txn_serial_wait", "_ns", snap.TxnSerialWait)
+	c.histLine("txn_queue", "_ns", snap.TxnQueue)
+	c.histLine("txn_validate", "_ns", snap.TxnValidate)
+	c.histLine("txn_apply", "_ns", snap.TxnApply)
+	c.histLine("txn_serial_wait", "_ns", snap.TxnSerialWait)
 	for i := range snap.Shards {
 		sh := &snap.Shards[i]
 		stat := func(k string, v uint64) {
@@ -128,7 +130,7 @@ func (c *Conn) cmdStatsFingerprint() error {
 		stat("hits", sh.Hits)
 		stat("misses", sh.Misses)
 		fmt.Fprintf(c.w, "STAT shard_%d_concentration %.3f\r\n", i, sh.Concentration)
-		c.fpHist(fmt.Sprintf("shard_%d_vsize", i), "", sh.VSize)
+		c.histLine(fmt.Sprintf("shard_%d_vsize", i), "", sh.VSize)
 		stat("abort_conflicts", sh.Aborts.Conflicts)
 		stat("abort_start_serial", sh.Aborts.StartSerial)
 		stat("abort_abort_serial", sh.Aborts.AbortSerial)

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/fingerprint"
+	"repro/internal/loghist"
 	"repro/internal/poller"
 	"repro/internal/protocol"
 	"repro/internal/txtrace"
@@ -60,9 +60,9 @@ type evConn struct {
 // burst — noise next to one syscall. Counters and histograms reset on
 // `stats reset`; queue depths and overflow length are live gauges.
 type evStats struct {
-	spills   atomic.Uint64      // enqueues that spilled to the overflow list
-	dispatch fingerprint.LogHist // queued→running latency, ns
-	burstOps fingerprint.LogHist // commands served per burst
+	spills   atomic.Uint64     // enqueues that spilled to the overflow list
+	dispatch loghist.Histogram // queued→running latency, ns
+	burstOps loghist.Histogram // commands served per burst
 
 	// busyNs[i] accumulates worker i's time inside bursts; baseNs and
 	// winStart snapshot the reset point so the busy fraction is computed

@@ -102,10 +102,10 @@ func TestSnapshotFormatting(t *testing.T) {
 
 func TestProfileStringFormat(t *testing.T) {
 	rt := New(Config{})
-	rt.EnableProfiling()
+	rt.EnableTracing()
 	th := rt.NewThread()
 	_ = th.Run(Props{Kind: Relaxed, Site: "spot"}, func(tx *Tx) { tx.Unsafe("op") })
-	out := rt.Profile().String()
+	out := rt.TracingObserver().Report(0).String()
 	if !strings.Contains(out, "serialization causes:") || !strings.Contains(out, "op @ spot") {
 		t.Errorf("profile report = %q", out)
 	}

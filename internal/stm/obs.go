@@ -9,10 +9,14 @@ import (
 
 // Observability integration. The runtime holds two observer pointers: obsAll
 // is the persistent observer (created on first enable, survives disable so
-// collected data can still be queried), and obs is the active pointer the hot
-// paths consult — nil while tracing is disabled. Every event site in the
-// runtime therefore costs exactly one atomic pointer load when tracing is
-// off.
+// collected data can still be queried), and obs is the active pointer — nil
+// while tracing is disabled.
+//
+// A transaction's events flow down one path. begin resolves the attempt's
+// consumer once (see Thread.consumers): the observer's per-thread Sink, the
+// thread's request-trace hook, a fan-out to both, or nil. Every event site
+// then tests that one plain field, so with no consumer an attempt costs one
+// atomic load (rt.obs, in begin) and a nil check per site.
 
 // EnableTracing activates transaction event tracing, creating the observer
 // (sized to the orec table) on first use, and returns it.
@@ -78,7 +82,7 @@ func (rt *Runtime) obsEvent(k txobs.Kind, cause string) {
 }
 
 // SetShardInfo stamps the runtime's TM-domain index and orec base offset
-// without attaching an observer, so events recorded through a request-trace
+// without attaching an observer, so events delivered to a request-trace
 // hook carry their shard and orec coordinates even while the aggregate
 // observer is off. AttachTracing overwrites these with the same values.
 func (rt *Runtime) SetShardInfo(shard, orecBase int) {
@@ -86,43 +90,56 @@ func (rt *Runtime) SetShardInfo(shard, orecBase int) {
 	rt.obsBase.Store(int32(orecBase))
 }
 
-// sink returns the thread's recording sink for o, creating it on first use
-// (or when tracing was re-enabled with a different observer).
-func (th *Thread) sink(o *txobs.Observer) *txobs.Sink {
-	if th.obsSinkFor != o {
-		th.obsSink = o.NewSink()
-		th.obsSinkFor = o
-	}
-	return th.obsSink
-}
-
-// TraceSink receives a copy of every event a thread's transactions emit while
-// a request-trace hook is installed (see Thread.SetTraceHook). TraceTx must
-// copy the event before returning: the runtime may hand the same pointer to
-// the aggregate observer, which stamps and retains it.
-type TraceSink interface {
+// Consumer receives the events a thread's transactions emit. It has two
+// implementations: the aggregate observer's per-thread txobs.Sink, which
+// takes ownership of the event, and a request-trace hook
+// (txtrace.ConnSpans), which must copy the event before returning because
+// the runtime may hand the same pointer on to the Sink.
+type Consumer interface {
 	TraceTx(ev *txobs.Event)
 }
 
-// SetTraceHook installs (or, with nil, removes) the thread's request-trace
-// hook. The hook makes every event site fire regardless of the aggregate
-// observer's state, so a sampled request sees its full span stream even when
-// `stats tm` tracing is off. The thread is single-owner; the field is plain.
-func (th *Thread) SetTraceHook(t TraceSink) { th.trace = t }
+// SetTrace installs (or, with nil, removes) the thread's request-trace hook.
+// The hook sees every event of the thread's transactions regardless of the
+// aggregate observer's state, so a sampled request gets its full span stream
+// even when `stats tm` tracing is off. The thread is single-owner and the
+// hook changes only between transactions; the next begin picks it up.
+func (th *Thread) SetTrace(c Consumer) { th.hook = c }
 
-// TraceHook returns the currently installed hook (nil when none).
-func (th *Thread) TraceHook() TraceSink { return th.trace }
+// fanout delivers one event to both consumers: the request hook first (it
+// copies), then the observer's sink (it takes ownership).
+type fanout struct {
+	hook Consumer
+	sink *txobs.Sink
+}
 
-// deliver fans one event out to the thread's request-trace hook (which copies
-// it) and then to the aggregate observer (which takes ownership). Either may
-// be absent; callers guarantee at least one is present.
-func (th *Thread) deliver(o *txobs.Observer, ev *txobs.Event) {
-	if t := th.trace; t != nil {
-		t.TraceTx(ev)
+func (f *fanout) TraceTx(ev *txobs.Event) {
+	f.hook.TraceTx(ev)
+	f.sink.TraceTx(ev)
+}
+
+// consumers resolves an attempt's event consumer and phase-timing observer,
+// once, at begin: nil/nil when neither the observer nor a request hook is
+// active. The fan-out lives on the thread, so resolving never allocates.
+func (th *Thread) consumers() (Consumer, *txobs.Observer) {
+	o := th.rt.obs.Load()
+	if o == nil {
+		if th.hook == nil {
+			return nil, nil
+		}
+		return th.hook, nil
 	}
-	if o != nil {
-		th.sink(o).Record(ev)
+	if th.obsSinkFor != o {
+		// First event under this observer (or tracing was re-enabled with a
+		// different one): register this thread's sink.
+		th.obsSink = o.NewSink()
+		th.obsSinkFor = o
 	}
+	if th.hook == nil {
+		return th.obsSink, o
+	}
+	th.fan = fanout{hook: th.hook, sink: th.obsSink}
+	return &th.fan, o
 }
 
 // EnableOwnerTracking allocates the orec-owner attribution table (one
@@ -195,11 +212,11 @@ func (tx *Tx) noteConflict(cause string, id uint64) {
 	tx.conflictID = id
 }
 
-// obsRecord builds and records an event carrying the attempt's current
-// context: site, serial mode, retry ordinal, read/write-set sizes, and the
-// conflicting orec/label/owner when one was noted. o may be nil (request
-// tracing without the aggregate observer); deliver handles both consumers.
-func (tx *Tx) obsRecord(o *txobs.Observer, k txobs.Kind, cause string) {
+// obsRecord builds an event carrying the attempt's current context (site,
+// serial mode, retry ordinal, read/write-set sizes, and the conflicting
+// orec/label/owner when one was noted) and hands it to the attempt's
+// consumer. Callers have checked tx.ev != nil.
+func (tx *Tx) obsRecord(k txobs.Kind, cause string) {
 	ev := &txobs.Event{
 		Kind:   k,
 		Cause:  cause,
@@ -220,5 +237,5 @@ func (tx *Tx) obsRecord(o *txobs.Observer, k txobs.Kind, cause string) {
 		// subscription. Attribute to the last traced serial-lock holder.
 		ev.Owner = tx.rt.serialOwnerSite()
 	}
-	tx.th.deliver(o, ev)
+	tx.ev.TraceTx(ev)
 }

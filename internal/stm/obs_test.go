@@ -164,3 +164,120 @@ func TestLabelEncoding(t *testing.T) {
 		t.Fatal("unlabeled word has label bits set")
 	}
 }
+
+// kindLog is a request-trace hook that copies each event's kind, as the
+// Consumer contract requires of hooks.
+type kindLog struct{ kinds []txobs.Kind }
+
+func (l *kindLog) TraceTx(ev *txobs.Event) { l.kinds = append(l.kinds, ev.Kind) }
+
+// TestEventPathMatrix runs one fixed transaction mix under every combination
+// of the aggregate observer {off, on} and the request hook {off, on},
+// toggling both between transactions on one thread. Each active consumer must
+// see each event exactly once, and an inactive one must see nothing.
+func TestEventPathMatrix(t *testing.T) {
+	rt := New(Config{Algorithm: MLWT})
+	th := rt.NewThread()
+	w := NewTWord(0)
+	mix := []struct {
+		props Props
+		fn    func(*Tx)
+		want  []txobs.Kind
+	}{
+		{Props{}, func(tx *Tx) { w.Store(tx, w.Load(tx)+1) },
+			[]txobs.Kind{txobs.KBegin, txobs.KCommit}},
+		{Props{ReadOnly: true}, func(tx *Tx) { _ = w.Load(tx) },
+			[]txobs.Kind{txobs.KBegin, txobs.KROFastCommit, txobs.KCommit}},
+		{Props{Kind: Relaxed}, func(tx *Tx) { tx.Unsafe("io") },
+			[]txobs.Kind{txobs.KBegin, txobs.KInFlightSwitch, txobs.KBegin, txobs.KCommit}},
+		{Props{Kind: Relaxed, StartSerial: true}, func(tx *Tx) {},
+			[]txobs.Kind{txobs.KStartSerial, txobs.KBegin, txobs.KCommit}},
+	}
+	combos := []struct{ obs, hook bool }{
+		{false, false}, {true, false}, {false, true}, {true, true},
+		{false, true}, {true, true}, {true, false}, {false, false},
+	}
+	var o *txobs.Observer
+	for i, c := range combos {
+		for j, m := range mix {
+			if c.obs {
+				o = rt.EnableTracing()
+			} else {
+				rt.DisableTracing()
+			}
+			hook := &kindLog{}
+			if c.hook {
+				th.SetTrace(hook)
+			} else {
+				th.SetTrace(nil)
+			}
+			before := map[txobs.Kind]uint64{}
+			if o != nil {
+				for k := txobs.KBegin; k <= txobs.KROUpgrade; k++ {
+					before[k] = o.KindCount(k)
+				}
+			}
+			if err := th.Run(m.props, m.fn); err != nil {
+				t.Fatalf("combo %d tx %d: %v", i, j, err)
+			}
+			th.SetTrace(nil)
+
+			want := m.want
+			if !c.hook {
+				want = nil
+			}
+			if len(hook.kinds) != len(want) {
+				t.Fatalf("combo %+v tx %d: hook saw %v, want %v", c, j, hook.kinds, want)
+			}
+			for k := range want {
+				if hook.kinds[k] != want[k] {
+					t.Fatalf("combo %+v tx %d: hook saw %v, want %v", c, j, hook.kinds, want)
+				}
+			}
+			if o == nil {
+				continue
+			}
+			wantN := map[txobs.Kind]uint64{}
+			if c.obs {
+				for _, k := range m.want {
+					wantN[k]++
+				}
+			}
+			for k, n := range before {
+				if got := o.KindCount(k) - n; got != wantN[k] {
+					t.Fatalf("combo %+v tx %d: observer counted %d %v events, want %d",
+						c, j, got, k, wantN[k])
+				}
+			}
+		}
+	}
+}
+
+// TestNoConsumerAllocs pins the untraced hot path: with neither the observer
+// nor a request hook active, a read-only and a writing transaction allocate
+// nothing, as before the event path was unified (0 and 0 measured at the
+// parent revision).
+func TestNoConsumerAllocs(t *testing.T) {
+	rt := New(Config{Algorithm: MLWT})
+	th := rt.NewThread()
+	w := NewTWord(0)
+	ro := func(tx *Tx) { _ = w.Load(tx) }
+	wr := func(tx *Tx) { w.Store(tx, w.Load(tx)+1) }
+	// Toggle tracing once so the cached sink exists but is inactive.
+	rt.EnableTracing()
+	mustRun(t, th, Props{}, wr)
+	rt.DisableTracing()
+	for _, c := range []struct {
+		name  string
+		props Props
+		fn    func(*Tx)
+		max   float64
+	}{
+		{"read-only", Props{ReadOnly: true}, ro, 0},
+		{"writing", Props{}, wr, 0},
+	} {
+		if n := testing.AllocsPerRun(200, func() { _ = th.Run(c.props, c.fn) }); n > c.max {
+			t.Errorf("%s transaction allocates %v times per run, want <= %v", c.name, n, c.max)
+		}
+	}
+}

@@ -75,6 +75,13 @@ func TestRetryBlockingQueue(t *testing.T) {
 	const producers, perP, consumers = 3, 200, 3
 	total := producers * perP
 
+	// taken counts pops inside the pop transaction itself: a consumer that
+	// finds the stack empty decides between Retry and giving up from
+	// transactional state, so the final pop's commit (which writes taken)
+	// wakes every consumer parked in Retry. Deciding from the
+	// nontransactional consumed counter instead loses that wake-up when the
+	// last pop commits before its popper bumps consumed.
+	taken := NewTWord(0)
 	var consumed atomic.Int64
 	var sum atomic.Int64
 	var wg sync.WaitGroup
@@ -93,15 +100,16 @@ func TestRetryBlockingQueue(t *testing.T) {
 					popped = false
 					h := head.Load(tx)
 					if h == nil {
-						// Blocking pop — but bounded: give up via a plain
-						// check outside so the test can finish.
-						if consumed.Load() >= int64(total) {
+						// Blocking pop — but bounded: give up once every
+						// value has been taken so the test can finish.
+						if taken.Load(tx) >= uint64(total) {
 							return
 						}
 						tx.Retry()
 					}
 					n := h.(*node)
 					head.Store(tx, n.next)
+					taken.Store(tx, taken.Load(tx)+1)
 					v = n.v
 					popped = true
 				})

@@ -149,35 +149,33 @@ func TestTBytesBounds(t *testing.T) {
 
 func TestProfileDisabledByDefault(t *testing.T) {
 	rt := New(Config{})
-	if rt.Profile() != nil {
-		t.Error("profile non-nil before EnableProfiling")
+	if rt.TracingObserver() != nil {
+		t.Error("observer non-nil before EnableTracing")
 	}
 	th := rt.NewThread()
-	// Events without profiling must not crash.
+	// Events without tracing must not crash.
 	_ = th.Run(Props{Kind: Relaxed}, func(tx *Tx) { tx.Unsafe("x") })
-	rt.EnableProfiling()
+	o := rt.EnableTracing()
 	_ = th.Run(Props{Kind: Relaxed, Site: "here"}, func(tx *Tx) { tx.Unsafe("y") })
-	p := rt.Profile()
-	if p == nil {
-		t.Fatal("profile nil after enable")
+	if rt.TracingObserver() != o {
+		t.Fatal("TracingObserver is not the enabled observer")
 	}
-	causes := p.Causes()
+	causes := o.SerialCauses()
 	if len(causes) != 1 || causes[0].Cause != "in-flight switch: y @ here" || causes[0].Count != 1 {
 		t.Errorf("causes = %v", causes)
 	}
-	// Enabling twice keeps the existing profile.
-	rt.EnableProfiling()
-	if got := rt.Profile(); got != p {
-		t.Error("EnableProfiling replaced the live profile")
+	// Enabling twice keeps the existing observer.
+	if got := rt.EnableTracing(); got != o {
+		t.Error("EnableTracing replaced the live observer")
 	}
 }
 
 func TestStartSerialProfileAttribution(t *testing.T) {
 	rt := New(Config{})
-	rt.EnableProfiling()
+	rt.EnableTracing()
 	th := rt.NewThread()
 	_ = th.Run(Props{Kind: Relaxed, StartSerial: true, Site: "do_item_alloc"}, func(tx *Tx) {})
-	causes := rt.Profile().Causes()
+	causes := rt.TracingObserver().SerialCauses()
 	if len(causes) != 1 || causes[0].Cause != "start serial @ do_item_alloc" {
 		t.Errorf("causes = %v", causes)
 	}

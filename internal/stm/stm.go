@@ -279,11 +279,9 @@ type Runtime struct {
 
 	stats Stats
 
-	prof atomic.Pointer[SerializationProfile]
-
-	// obs is the active observability sink (nil = tracing disabled; the hot
-	// paths pay one atomic load to find out). obsAll is the persistent
-	// observer, kept across DisableTracing. See obs.go.
+	// obs is the active observer (nil = tracing disabled; each attempt pays
+	// one atomic load for it, in begin). obsAll is the persistent observer,
+	// kept across DisableTracing. See obs.go.
 	obs    atomic.Pointer[txobs.Observer]
 	obsAll atomic.Pointer[txobs.Observer]
 

@@ -149,15 +149,17 @@ type Thread struct {
 	runSince     atomic.Int64
 	escalate     atomic.Uint32
 
-	// Observability sink, cached per observer (see obs.go). Only touched
-	// while tracing is enabled.
+	// Observability sink, cached per observer (see Thread.consumers). Only
+	// touched while tracing is enabled.
 	obsSink    *txobs.Sink
 	obsSinkFor *txobs.Observer
 
-	// Request-trace hook (see obs.go): non-nil while the current request is
-	// being traced. Plain field — the thread is single-owner, and the hook is
-	// installed/removed between transactions by the same goroutine.
-	trace TraceSink
+	// Request-trace hook (see SetTrace): non-nil while the current request
+	// is being traced. Plain field — the thread is single-owner, and the hook
+	// is installed/removed between transactions by the same goroutine. fan is
+	// the two-consumer fan-out begin hands out when the observer is on too.
+	hook Consumer
+	fan  fanout
 
 	// Interned Site pointer cache for owner attribution (see Tx.sitePtr).
 	sitePtrVal *string
@@ -204,10 +206,10 @@ type Tx struct {
 	ro        bool      // read-only fast path attempt (orec algorithms only)
 	algo      Algorithm // pinned at begin from the dynamic config; never changes mid-attempt
 	lockWord  uint64    // odd; unique per attempt
-	start     uint64 // clock snapshot (MLWT/Lazy) or sequence snapshot (NOrec/TML)
-	htmSeq    uint64 // serial-lock subscription sequence (HTM)
-	roSeq     uint64 // serial-lock subscription sequence (read-only fast path)
-	tmlWriter bool   // TML: holding the global sequence lock
+	start     uint64    // clock snapshot (MLWT/Lazy) or sequence snapshot (NOrec/TML)
+	htmSeq    uint64    // serial-lock subscription sequence (HTM)
+	roSeq     uint64    // serial-lock subscription sequence (read-only fast path)
+	tmlWriter bool      // TML: holding the global sequence lock
 
 	reads []orecRead
 	owned []ownedOrec
@@ -223,7 +225,11 @@ type Tx struct {
 	onCommit []func()
 	onAbort  []func()
 
-	attempts int
+	// ev is the attempt's event consumer and obs its phase-timing observer,
+	// both resolved once at begin (see Thread.consumers); nil when nothing
+	// listens, so every event site is a plain nil check.
+	ev  Consumer
+	obs *txobs.Observer
 
 	// Conflict attribution for the observability layer (see obs.go): the
 	// cause of the pending abort and the id of the location whose orec
@@ -291,8 +297,8 @@ func (tx *Tx) Unsafe(op string) {
 	if tx.props.Kind == Atomic {
 		panic(fmt.Errorf("%w: %s", ErrUnsafeInAtomic, op))
 	}
-	if o := tx.rt.obs.Load(); o != nil || tx.th.trace != nil {
-		tx.obsRecord(o, txobs.KInFlightSwitch, causeAt("in-flight switch: "+op, tx.props.Site))
+	if tx.ev != nil {
+		tx.obsRecord(txobs.KInFlightSwitch, causeAt("in-flight switch: "+op, tx.props.Site))
 	}
 	panic(switchSerialSignal{op: op})
 }
@@ -337,25 +343,14 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 	if props.StartSerial {
 		serial = true
 		rt.stats.StartSerial.Add(1)
-		if o := rt.obs.Load(); o != nil || th.trace != nil {
-			th.deliver(o, &txobs.Event{
-				Kind: txobs.KStartSerial, Serial: true, Orec: -1,
-				Site: props.Site, Cause: causeAt("start serial", props.Site),
-				Shard: rt.obsShard.Load(),
-			})
-		}
 	}
-
-	// Source-transaction entry time, for the begin→first-abort phase
-	// histogram; sampled only while tracing is on.
-	var runT0 time.Time
-	if rt.obs.Load() != nil {
-		runT0 = time.Now()
-	}
+	// announce makes the first begin emit the start-serial event.
+	announce := props.StartSerial
 
 	// Publish this source-level transaction to the starvation watchdog; its
 	// escalation (and our abort streak) ends when Run returns, however it
-	// returns.
+	// returns. runSince doubles as the entry time for the begin→first-abort
+	// phase histogram.
 	th.runSince.Store(time.Now().UnixNano())
 	defer func() {
 		th.runSince.Store(0)
@@ -368,10 +363,11 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 		if rt.dynLoad().CM == CMHourglass && !serial {
 			th.gateWait()
 		}
-		tx := th.begin(props, serial, wantRO && !serial)
+		tx := th.begin(props, serial, wantRO && !serial, announce)
 		if tx == nil {
 			return ErrSerialBusy
 		}
+		announce = false
 		res := tx.execute(fn)
 		switch res {
 		case resCommit:
@@ -386,8 +382,8 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 				// have swapped away from hourglass mid-transaction.
 				th.gateRelease()
 			}
-			if o := rt.obs.Load(); o != nil || th.trace != nil {
-				tx.obsRecord(o, txobs.KCommit, "")
+			if tx.ev != nil {
+				tx.obsRecord(txobs.KCommit, "")
 			}
 			th.finish(tx, true)
 			return nil
@@ -406,8 +402,8 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 			// nothing and read consistently, so restarting on the
 			// writer-capable path is a clean upgrade, not a contention event.
 			rt.stats.ROUpgrades.Add(1)
-			if o := rt.obs.Load(); o != nil || th.trace != nil {
-				tx.obsRecord(o, txobs.KROUpgrade, causeAt("ro upgrade: write in read-only transaction", props.Site))
+			if tx.ev != nil {
+				tx.obsRecord(txobs.KROUpgrade, causeAt("ro upgrade: write in read-only transaction", props.Site))
 			}
 			wantRO = false
 			th.finish(tx, false)
@@ -417,8 +413,8 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 			// dirtied by another commit, then re-run. Not an abort for
 			// contention-management purposes.
 			rt.stats.Retries.Add(1)
-			if o := rt.obs.Load(); o != nil || th.trace != nil {
-				tx.obsRecord(o, txobs.KRetryWait, "retry: read-set wait")
+			if tx.ev != nil {
+				tx.obsRecord(txobs.KRetryWait, "retry: read-set wait")
 			}
 			th.finish(tx, false)
 			tx.waitReadSetChange()
@@ -428,15 +424,15 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 			rt.stats.Aborts.Add(1)
 			consec++
 			th.consecAborts.Store(uint64(consec))
-			if o := rt.obs.Load(); o != nil || th.trace != nil {
+			if tx.ev != nil {
 				cause := tx.abortCause
 				if cause == "" {
 					cause = "conflict: commit validation"
 				}
-				tx.obsRecord(o, txobs.KAbort, cause)
-				if o != nil && consec == 1 && !runT0.IsZero() {
-					o.ObservePhase(txobs.PhaseFirstAbort, time.Since(runT0))
-				}
+				tx.obsRecord(txobs.KAbort, cause)
+			}
+			if tx.obs != nil && consec == 1 {
+				tx.obs.ObservePhase(txobs.PhaseFirstAbort, time.Since(time.Unix(0, th.runSince.Load())))
 			}
 			th.finish(tx, false)
 			if props.MaxRetries > 0 && consec >= props.MaxRetries {
@@ -449,8 +445,8 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 			if d.Algorithm == HTM && consec >= rt.cfg.HTMRetries {
 				// Lock-elision fallback: take the global lock for real.
 				rt.stats.HTMFallbacks.Add(1)
-				if o := rt.obs.Load(); o != nil || th.trace != nil {
-					tx.obsRecord(o, txobs.KHTMFallback, causeAt("htm fallback: retry limit", props.Site))
+				if tx.ev != nil {
+					tx.obsRecord(txobs.KHTMFallback, causeAt("htm fallback: retry limit", props.Site))
 				}
 				serial = true
 				continue
@@ -462,13 +458,13 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 					// The abort-serial event inherits the conflict that pushed
 					// the attempt over the limit, so serialization-for-progress
 					// is attributed to a named structure.
-					if o := rt.obs.Load(); o != nil || th.trace != nil {
-						tx.obsRecord(o, txobs.KAbortSerial, causeAt("abort serial: consecutive-abort limit", props.Site))
+					if tx.ev != nil {
+						tx.obsRecord(txobs.KAbortSerial, causeAt("abort serial: consecutive-abort limit", props.Site))
 					}
 					serial = true
 				}
 			case CMBackoff:
-				th.backoff(consec, d.Backoff)
+				th.backoff(tx.obs, consec, d.Backoff)
 			case CMHourglass:
 				if consec >= rt.cfg.HourglassAfter {
 					th.gateAcquire()
@@ -486,7 +482,7 @@ func (th *Thread) Run(props Props, fn func(*Tx)) error {
 			switch th.escalate.Load() {
 			case escalateBackoff:
 				if d.CM != CMBackoff {
-					th.backoff(consec, d.Backoff)
+					th.backoff(tx.obs, consec, d.Backoff)
 				}
 			case escalateSerialize:
 				serial = true
@@ -510,12 +506,23 @@ const (
 // commit, far too short to wait out another serial transaction's body.
 const trySerialSpins = 256
 
-func (th *Thread) begin(props Props, serial, wantRO bool) *Tx {
+// begin starts one attempt. It resolves the attempt's event consumers first;
+// announce (the first attempt of a StartSerial transaction) emits the
+// start-serial event through them.
+func (th *Thread) begin(props Props, serial, wantRO, announce bool) *Tx {
 	rt := th.rt
+	ev, obs := th.consumers()
+	if announce && ev != nil {
+		ev.TraceTx(&txobs.Event{
+			Kind: txobs.KStartSerial, Serial: true, Orec: -1,
+			Site: props.Site, Cause: causeAt("start serial", props.Site),
+			Shard: rt.obsShard.Load(),
+		})
+	}
 	if serial && props.TrySerial && !rt.serial.TryLock(trySerialSpins) {
-		// Bounded acquisition failed. Nothing was published — no stats, no
-		// observer event, no th.cur — so the caller sees ErrSerialBusy as if
-		// the transaction never started.
+		// Bounded acquisition failed. Nothing further is published — no
+		// stats, no begin event, no th.cur — so the caller sees
+		// ErrSerialBusy as if the transaction never started.
 		return nil
 	}
 	tx := &th.tx
@@ -533,9 +540,11 @@ func (th *Thread) begin(props Props, serial, wantRO bool) *Tx {
 		nReadsA:  tx.nReadsA[:0],
 		onCommit: tx.onCommit[:0],
 		onAbort:  tx.onAbort[:0],
+		ev:       ev,
+		obs:      obs,
+		traced:   th.hook != nil,
 	}
 	tx.redoW, tx.redoA = redoW, redoA
-	tx.traced = th.trace != nil
 	rt.stats.Starts.Add(1)
 	if !serial {
 		// Pin the dynamic configuration and acquire the attempt's serial-lock
@@ -552,10 +561,10 @@ func (th *Thread) begin(props Props, serial, wantRO bool) *Tx {
 		}
 		if props.TrySerial {
 			// Already acquired by the bounded TryLock at the top of begin.
-		} else if o := rt.obs.Load(); o != nil {
+		} else if obs != nil {
 			t0 := time.Now()
 			rt.serial.Lock()
-			o.ObservePhase(txobs.PhaseSerialWait, time.Since(t0))
+			obs.ObservePhase(txobs.PhaseSerialWait, time.Since(t0))
 		} else {
 			rt.serial.Lock()
 		}
@@ -591,8 +600,8 @@ func (th *Thread) begin(props Props, serial, wantRO bool) *Tx {
 			}
 		}
 	}
-	if o := rt.obs.Load(); o != nil || th.trace != nil {
-		th.deliver(o, &txobs.Event{
+	if ev != nil {
+		ev.TraceTx(&txobs.Event{
 			Kind: txobs.KBegin, Serial: serial, Site: props.Site,
 			Retry: uint32(th.consecAborts.Load()), Orec: -1,
 			Shard: rt.obsShard.Load(),
@@ -991,16 +1000,15 @@ func (tx *Tx) norecValidate() uint64 {
 
 // tryCommit attempts to commit; returns false if validation fails (the caller
 // rolls back and retries). It times the commit protocol for the phase
-// histogram; when tracing is disabled the only extra cost is the obs load.
+// histogram when the attempt has an observer.
 func (tx *Tx) tryCommit() bool {
-	o := tx.rt.obs.Load()
-	if o == nil {
+	if tx.obs == nil {
 		return tx.commitProtocol()
 	}
 	t0 := time.Now()
 	ok := tx.commitProtocol()
 	if ok {
-		o.ObservePhase(txobs.PhaseCommit, time.Since(t0))
+		tx.obs.ObservePhase(txobs.PhaseCommit, time.Since(t0))
 	}
 	return ok
 }
@@ -1136,8 +1144,8 @@ func (tx *Tx) roCommit() bool {
 		return false
 	}
 	rt.stats.ROFastCommits.Add(1)
-	if o := rt.obs.Load(); o != nil || tx.th.trace != nil {
-		tx.obsRecord(o, txobs.KROFastCommit, "")
+	if tx.ev != nil {
+		tx.obsRecord(txobs.KROFastCommit, "")
 	}
 	tx.endSpeculation(false)
 	return true
@@ -1287,9 +1295,10 @@ func (th *Thread) gateRelease() {
 // the dynamic config, so a controller can widen a degraded shard's curve
 // live. Long waits use the OS timer, which is exactly the preemption
 // exposure the paper blames for backoff's poor behaviour at high thread
-// counts; short waits burn scheduler yields instead.
-func (th *Thread) backoff(consec int, bc BackoffConfig) {
-	if o := th.rt.obs.Load(); o != nil {
+// counts; short waits burn scheduler yields instead. o, the aborted
+// attempt's observer, times the wait when non-nil.
+func (th *Thread) backoff(o *txobs.Observer, consec int, bc BackoffConfig) {
+	if o != nil {
 		t0 := time.Now()
 		defer func() { o.ObservePhase(txobs.PhaseBackoff, time.Since(t0)) }()
 	}

@@ -129,4 +129,4 @@ func AddWord(th *stm.Thread, w *stm.TWord, delta uint64) uint64 {
 // is the single entry point the engine uses to thread request spans down into
 // the runtime; it exists here (not on the caller's side of stm) so the
 // tracing contract is part of the same API surface as Atomic/Relaxed.
-func SetTrace(th *stm.Thread, sink stm.TraceSink) { th.SetTraceHook(sink) }
+func SetTrace(th *stm.Thread, sink stm.Consumer) { th.SetTrace(sink) }

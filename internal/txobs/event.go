@@ -157,8 +157,9 @@ func (r *Ring) Snapshot() []Event {
 }
 
 // Sink is a handle through which one thread records events into its ring and
-// the shared aggregates. The hot-path contract: when the observer is
-// disabled, Record returns after a single atomic load.
+// the shared aggregates. It is the aggregate consumer of the STM's event
+// stream (the request tracer's txtrace.ConnSpans is the other); both
+// implement the runtime's one-method consumer interface, TraceTx.
 type Sink struct {
 	obs  *Observer
 	ring *Ring
@@ -168,10 +169,11 @@ type Sink struct {
 // Ring returns the sink's ring (for tests and diagnostics).
 func (s *Sink) Ring() *Ring { return s.ring }
 
-// Record timestamps, sequences, and records ev, updating the observer's
-// aggregates (kind counters, cause map, conflict heat map). ev must not be
-// reused by the caller afterwards. No-op while the observer is disabled.
-func (s *Sink) Record(ev *Event) {
+// TraceTx timestamps, sequences, and records ev, updating the observer's
+// aggregates (kind counters, cause map, conflict heat map). The sink takes
+// ownership: ev must not be reused by the caller afterwards. No-op while the
+// observer is disabled.
+func (s *Sink) TraceTx(ev *Event) {
 	o := s.obs
 	if !o.enabled.Load() {
 		return
@@ -181,4 +183,29 @@ func (s *Sink) Record(ev *Event) {
 	ev.Thread = s.id
 	o.aggregate(ev)
 	s.ring.Record(ev)
+}
+
+// Phase identifies an STM latency phase.
+type Phase uint8
+
+const (
+	// PhaseFirstAbort measures source-transaction entry to its first abort.
+	PhaseFirstAbort Phase = iota
+	// PhaseBackoff measures one contention-manager backoff wait.
+	PhaseBackoff
+	// PhaseSerialWait measures waiting to acquire the serial lock's write side.
+	PhaseSerialWait
+	// PhaseCommit measures a successful commit's validation+publish protocol.
+	PhaseCommit
+
+	phaseN
+)
+
+var phaseNames = [phaseN]string{"first_abort", "backoff", "serial_wait", "commit"}
+
+func (p Phase) String() string {
+	if int(p) < len(phaseNames) {
+		return phaseNames[p]
+	}
+	return "unknown"
 }

@@ -55,7 +55,7 @@ func TestRingOverflowAttribution(t *testing.T) {
 				// Each recorder stamps its own sink id as the shard, so any
 				// event whose Shard disagrees with its ring's Thread id was
 				// mis-attributed by an overwrite.
-				ss[s].Record(&Event{Kind: KBegin, Orec: -1, Shard: int32(s)})
+				ss[s].TraceTx(&Event{Kind: KBegin, Orec: -1, Shard: int32(s)})
 			}
 		}()
 	}
@@ -87,7 +87,7 @@ func TestRingOverflowAttribution(t *testing.T) {
 	if got := o.RingDropped(); got != 0 {
 		t.Errorf("RingDropped() = %d after Reset, want 0", got)
 	}
-	ss[0].Record(&Event{Kind: KBegin, Orec: -1})
+	ss[0].TraceTx(&Event{Kind: KBegin, Orec: -1})
 	if got := o.RingDropped(); got != 0 {
 		t.Errorf("RingDropped() = %d after one post-reset event, want 0", got)
 	}

@@ -51,7 +51,7 @@ func TestRingHammer(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				// Retry and Reads encode the writer identity and iteration;
 				// Cause repeats them so tearing would be detectable.
-				sink.Record(&Event{
+				sink.TraceTx(&Event{
 					Kind:   KCommit,
 					Retry:  uint32(g),
 					Reads:  uint32(i),
@@ -105,10 +105,9 @@ func TestDisabledRecordsNothing(t *testing.T) {
 	o := New(Options{Orecs: 16, RingCapacity: 64})
 	sink := o.NewSink()
 	for i := 0; i < 100; i++ {
-		sink.Record(&Event{Kind: KAbort, Orec: 3, Label: RegisterLabel("test_disabled")})
+		sink.TraceTx(&Event{Kind: KAbort, Orec: 3, Label: RegisterLabel("test_disabled")})
 		o.ObservePhase(PhaseCommit, time.Millisecond)
 		o.ObserveCommand("get", time.Millisecond)
-		o.RecordSerialCause("should not appear")
 	}
 	if n := sink.Ring().Recorded(); n != 0 {
 		t.Fatalf("disabled ring recorded %d events", n)
@@ -136,7 +135,7 @@ func TestPerThreadMerge(t *testing.T) {
 		go func(s *Sink) {
 			defer wg.Done()
 			for j := 0; j < each; j++ {
-				s.Record(&Event{Kind: KBegin, Orec: -1})
+				s.TraceTx(&Event{Kind: KBegin, Orec: -1})
 			}
 		}(s)
 	}
@@ -168,13 +167,13 @@ func TestHeatMapAndReport(t *testing.T) {
 	o.Enable()
 	s := o.NewSink()
 	for i := 0; i < 10; i++ {
-		s.Record(&Event{Kind: KAbort, Orec: 5, Label: lb, Cause: "conflict: location locked"})
+		s.TraceTx(&Event{Kind: KAbort, Orec: 5, Label: lb, Cause: "conflict: location locked"})
 	}
 	for i := 0; i < 3; i++ {
-		s.Record(&Event{Kind: KAbort, Orec: 9, Label: ll, Cause: "conflict: read validation"})
+		s.TraceTx(&Event{Kind: KAbort, Orec: 9, Label: ll, Cause: "conflict: read validation"})
 	}
-	s.Record(&Event{Kind: KAbortSerial, Orec: 5, Label: lb, Cause: "abort serial: consecutive-abort limit"})
-	s.Record(&Event{Kind: KAbortSerial, Orec: -1, Label: NoLabel, Cause: "abort serial: consecutive-abort limit"})
+	s.TraceTx(&Event{Kind: KAbortSerial, Orec: 5, Label: lb, Cause: "abort serial: consecutive-abort limit"})
+	s.TraceTx(&Event{Kind: KAbortSerial, Orec: -1, Label: NoLabel, Cause: "abort serial: consecutive-abort limit"})
 
 	r := o.Report(10)
 	if len(r.ConflictLabels) != 2 || r.ConflictLabels[0].Label != "test_bucket" || r.ConflictLabels[0].Count != 10 {
@@ -202,36 +201,18 @@ func TestHeatMapAndReport(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantiles checks the log-bucketed quantile math.
-func TestHistogramQuantiles(t *testing.T) {
-	var h Histogram
-	// 90 fast observations and 10 slow ones: p50 must land in the fast
-	// bucket's range, p99 in the slow one's.
-	for i := 0; i < 90; i++ {
-		h.Observe(900 * time.Nanosecond) // bucket [512, 1024)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(70 * time.Microsecond) // bucket [65536, 131072)
-	}
-	s := h.Snapshot()
-	if s.Count != 100 {
-		t.Fatalf("count = %d", s.Count)
-	}
-	if s.P50 < 900*time.Nanosecond || s.P50 > 1024*time.Nanosecond {
-		t.Fatalf("p50 = %v, want in [900ns, 1024ns]", s.P50)
-	}
-	if s.P99 < 70*time.Microsecond || s.P99 > 131072*time.Nanosecond {
-		t.Fatalf("p99 = %v, want in [70µs, 131µs]", s.P99)
-	}
-	if s.Max != 70*time.Microsecond {
-		t.Fatalf("max = %v", s.Max)
-	}
-	if s.Mean == 0 || s.Mean > 70*time.Microsecond {
-		t.Fatalf("mean = %v", s.Mean)
-	}
-	h.Reset()
-	if s := h.Snapshot(); s.Count != 0 || s.Max != 0 {
-		t.Fatalf("reset left state: %+v", s)
+// TestPrometheusHistogramSum checks the exported _sum is the exact sum of
+// the observations, not the truncated mean times the count: 1 ns + 2 ns must
+// export 3e-09, where mean×count gives 2e-09.
+func TestPrometheusHistogramSum(t *testing.T) {
+	o := New(Options{})
+	o.Enable()
+	o.ObserveCommand("get", 1*time.Nanosecond)
+	o.ObserveCommand("get", 2*time.Nanosecond)
+	var buf strings.Builder
+	o.Report(0).WritePrometheus(&buf)
+	if want := `tm_command_latency_seconds_sum{command="get"} 3e-09`; !strings.Contains(buf.String(), want) {
+		t.Fatalf("Prometheus output missing %q:\n%s", want, buf.String())
 	}
 }
 
@@ -240,7 +221,7 @@ func TestReportRendering(t *testing.T) {
 	o := New(Options{Orecs: 8})
 	o.Enable()
 	s := o.NewSink()
-	s.Record(&Event{Kind: KAbort, Orec: 2, Label: RegisterLabel("test_render"), Cause: "conflict: location locked"})
+	s.TraceTx(&Event{Kind: KAbort, Orec: 2, Label: RegisterLabel("test_render"), Cause: "conflict: location locked"})
 	o.ObservePhase(PhaseCommit, 3*time.Microsecond)
 	o.ObserveCommand("set", 40*time.Microsecond)
 

@@ -8,7 +8,7 @@ import (
 
 // ConnSpans is the per-connection span buffer: a single-writer scratch the
 // protocol layer drives (Begin before dispatch, End after) and the STM
-// runtime feeds through the stm.TraceSink interface while the request's
+// runtime feeds through its event-consumer interface while the request's
 // worker thread carries the hook. One goroutine serves one connection, so no
 // field needs synchronization — the lock-freedom the tentpole asks for is
 // the absence of any lock, not atomics: the only shared word on the request
@@ -70,7 +70,7 @@ func serializingKind(k txobs.Kind) bool {
 	return false
 }
 
-// TraceTx implements stm.TraceSink: it copies ev into the span scratch and
+// TraceTx implements stm.Consumer: it copies ev into the span scratch and
 // folds it into the running pathology summary. Called synchronously on the
 // request's own goroutine from inside the STM run loop.
 func (cs *ConnSpans) TraceTx(ev *txobs.Event) {

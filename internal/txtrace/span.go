@@ -52,13 +52,13 @@ type Span struct {
 	Start int64  `json:"start"`
 
 	DurNanos   int64  `json:"dur_ns"`
-	Aborts     uint32 `json:"aborts"`      // abort events in the span
-	MaxRetry   uint32 `json:"max_retry"`   // longest consecutive-abort chain seen
-	Serialized bool   `json:"serialized"`  // any serialization event
-	MaxReads   uint32 `json:"max_reads"`   // largest read set of any attempt
-	MaxWrites  uint32 `json:"max_writes"`  // largest write set of any attempt
-	Keep       string `json:"keep"`        // retries | serialized | slow | head | full
-	Truncated  int    `json:"truncated"`   // events past the per-span cap, dropped
+	Aborts     uint32 `json:"aborts"`     // abort events in the span
+	MaxRetry   uint32 `json:"max_retry"`  // longest consecutive-abort chain seen
+	Serialized bool   `json:"serialized"` // any serialization event
+	MaxReads   uint32 `json:"max_reads"`  // largest read set of any attempt
+	MaxWrites  uint32 `json:"max_writes"` // largest write set of any attempt
+	Keep       string `json:"keep"`       // retries | serialized | slow | head | full
+	Truncated  int    `json:"truncated"`  // events past the per-span cap, dropped
 
 	Events []SpanEvent `json:"events"`
 }

@@ -3,12 +3,12 @@ package txtrace
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/loghist"
 )
 
 // Mode is the tracer's operating mode. The numeric values are stable: they
@@ -141,10 +141,6 @@ type Dump struct {
 // maxDumps bounds the auto-capture list; older dumps fall off.
 const maxDumps = 8
 
-// durBuckets is the per-second latency histogram resolution: bucket i holds
-// durations in [2^i, 2^(i+1)) nanoseconds.
-const durBuckets = 48
-
 // Tracer owns the request-tracing state for one cache: the mode word, the
 // deterministic head sampler, the kept-span and flight-recorder rings, the
 // conflict graph, the per-second time series with its anomaly detector, and
@@ -165,9 +161,9 @@ type Tracer struct {
 	// evidence exists.
 	estP99 atomic.Int64
 
-	// winDur is the current second's request-latency histogram (log2-ns
-	// buckets), harvested and zeroed by Tick.
-	winDur [durBuckets]atomic.Uint64
+	// win is the current second's request-latency histogram (ns), swapped
+	// to zero by Tick.
+	win loghist.Histogram
 
 	recent *SpanRing // all kept spans (head sample + pathological)
 	slow   *SpanRing // flight recorder: pathological spans only
@@ -253,39 +249,7 @@ func (t *Tracer) Recent() []Span { return t.recent.Snapshot() }
 func (t *Tracer) TimeSeriesSeconds() int { return t.ts.Len() }
 
 // observeDur folds one request latency into the current second's histogram.
-func (t *Tracer) observeDur(d time.Duration) {
-	if d < 1 {
-		d = 1
-	}
-	b := bits.Len64(uint64(d)) - 1
-	if b >= durBuckets {
-		b = durBuckets - 1
-	}
-	t.winDur[b].Add(1)
-}
-
-// harvestP99 snapshots and zeroes the window histogram, returning the p99 of
-// the window (bucket upper bound) and the request count. Zero count returns
-// (0, 0).
-func (t *Tracer) harvestP99() (p99 time.Duration, n uint64) {
-	var counts [durBuckets]uint64
-	for i := range t.winDur {
-		counts[i] = t.winDur[i].Swap(0)
-		n += counts[i]
-	}
-	if n == 0 {
-		return 0, 0
-	}
-	rank := n - (n / 100) // ceil(0.99 n)-ish without float
-	var cum uint64
-	for i := range counts {
-		cum += counts[i]
-		if cum >= rank {
-			return time.Duration(uint64(1) << uint(i+1)), n
-		}
-	}
-	return time.Duration(uint64(1) << durBuckets), n
-}
+func (t *Tracer) observeDur(d time.Duration) { t.win.Record(uint64(d)) }
 
 // updateP99 folds a fresh window p99 into the rolling estimate (EWMA). The
 // first observation replaces the infinite sentinel outright.
@@ -443,8 +407,9 @@ func (t *Tracer) noteAnomaly(kind, detail string, now time.Time) {
 // calls it once per second while tracing is enabled.
 func (t *Tracer) Tick(c Counters) {
 	now := time.Now()
-	winP99, n := t.harvestP99()
-	if n > 0 {
+	w := t.win.Swap()
+	winP99 := time.Duration(w.P99)
+	if w.Count > 0 {
 		t.updateP99(winP99)
 	}
 	c.Reqs = t.reqSeq.Load()
@@ -477,9 +442,7 @@ func (t *Tracer) Reset() {
 	t.dumps = nil
 	clear(t.lastAnom)
 	t.anomMu.Unlock()
-	for i := range t.winDur {
-		t.winDur[i].Store(0)
-	}
+	t.win.Reset()
 }
 
 func sortEdges(es []GraphEdge) {
